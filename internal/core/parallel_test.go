@@ -23,10 +23,10 @@ func multiErrorDB(t *testing.T) map[[2]string]int64 {
 	}
 }
 
-// TestSolverWorkersMatchesSequential: the branch-and-bound worker budget
-// (node-level parallelism) must not change the repair — the milp kernel's
-// deterministic tie rule guarantees it, and this checks the wire-through.
-func TestSolverWorkersMatchesSequential(t *testing.T) {
+// TestComponentWorkersMatchSequential: solving components concurrently
+// (MILPSolver.Workers) must not change the repair — components are
+// independent and results merge in component order.
+func TestComponentWorkersMatchSequential(t *testing.T) {
 	run := func(s *core.MILPSolver) *core.Result {
 		t.Helper()
 		db := runningex.CorrectDatabase()
@@ -40,19 +40,14 @@ func TestSolverWorkersMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(&core.MILPSolver{SolverWorkers: 1})
-	for _, s := range []*core.MILPSolver{
-		{SolverWorkers: 4},
-		{Workers: 2, SolverWorkers: 4}, // two-level: components x nodes
-		{Workers: 4, SolverWorkers: 1}, // component parallelism alone
-	} {
-		par := run(s)
+	seq := run(&core.MILPSolver{Workers: 1})
+	for _, workers := range []int{2, 4} {
+		par := run(&core.MILPSolver{Workers: workers})
 		if seq.Card != par.Card {
-			t.Errorf("Workers=%d SolverWorkers=%d: card %d, want %d", s.Workers, s.SolverWorkers, par.Card, seq.Card)
+			t.Errorf("Workers=%d: card %d, want %d", workers, par.Card, seq.Card)
 		}
 		if seq.Repair.String() != par.Repair.String() {
-			t.Errorf("Workers=%d SolverWorkers=%d: repairs differ:\nseq: %v\npar: %v",
-				s.Workers, s.SolverWorkers, par.Repair, seq.Repair)
+			t.Errorf("Workers=%d: repairs differ:\nseq: %v\npar: %v", workers, par.Repair, seq.Repair)
 		}
 	}
 }

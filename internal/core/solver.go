@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -96,15 +95,9 @@ type MILPSolver struct {
 	// Workers bounds the number of connected components solved
 	// concurrently; 0 or 1 solves sequentially. Components are independent
 	// subproblems, so parallel solving is exact; results merge in
-	// deterministic component order.
+	// deterministic component order. It never changes results, so it does
+	// not participate in the memo fingerprint.
 	Workers int
-	// SolverWorkers is the total branch-and-bound worker budget shared by
-	// all concurrently solving components (two-level parallelism:
-	// components x nodes). 0 means GOMAXPROCS. Each component solve gets
-	// budget/active-components node workers (at least one); worker counts
-	// never change results (see milp.MILPOptions.Workers), so neither
-	// Workers nor SolverWorkers participates in the memo fingerprint.
-	SolverWorkers int
 	// MaxEscalations bounds big-M escalation attempts (default 3).
 	MaxEscalations int
 	// DisableWarmStart turns off the warm-start cutoff derived from a
@@ -152,7 +145,7 @@ func (s *MILPSolver) SolveProblem(ctx context.Context, prob *Problem, forced map
 	var res *Result
 	var err error
 	if s.DisableDecomposition {
-		res, err = s.solveSystem(ctx, prob.System(), forced, prob.Database(), nil, s.nodeWorkers(1))
+		res, err = s.solveSystem(ctx, prob.System(), forced, prob.Database(), nil)
 	} else {
 		res, err = s.solvePrepared(ctx, prob, forced)
 	}
@@ -204,14 +197,6 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 		}
 		pending = append(pending, pendingComp{ci, sub})
 	}
-
-	// Split the node-worker budget across the components that actually solve
-	// concurrently; a lone (or sequential) component gets the whole budget.
-	concurrent := 1
-	if s.Workers > 1 && len(pending) > 1 {
-		concurrent = min(s.Workers, len(pending))
-	}
-	nodeWorkers := s.nodeWorkers(concurrent)
 
 	// Live aggregation: the components-solved plan/done timeline the
 	// progress endpoint folds into components_done/components_total. All
@@ -271,7 +256,7 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 		if !s.DisableWarmStart {
 			warm = prob.warmStart(fp, pc.ci)
 		}
-		res, err := s.solveSystem(ctx, pc.sub, forced, prob.Database(), warm, nodeWorkers)
+		res, err := s.solveSystem(ctx, pc.sub, forced, prob.Database(), warm)
 		if err != nil {
 			errs[i] = err
 			return
@@ -285,7 +270,7 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 		jobSpan.Publish(obs.Event{Kind: obs.KindComponent, Name: "done",
 			Done: int(solvedComponents.Add(1)), Total: len(pending)})
 	}
-	if concurrent > 1 {
+	if s.Workers > 1 && len(pending) > 1 {
 		// A failing component solve cancels its siblings instead of letting
 		// them run to completion; the error returned below is still picked
 		// deterministically (lowest component index wins).
@@ -356,28 +341,12 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 	return total, nil
 }
 
-// nodeWorkers splits the branch-and-bound worker budget across concurrent
-// component solves: each gets at least one node worker, and a lone
-// component gets the whole budget.
-func (s *MILPSolver) nodeWorkers(concurrent int) int {
-	budget := s.SolverWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	return max(1, budget/concurrent)
-}
-
 // solveSystem compiles and solves one system, escalating the big-M bound
 // when it proves binding or spuriously infeasible. A non-nil warm vector
 // (the solved values of a previous solve of the same system under other
 // pins) is turned into an exactness-preserving branch-and-bound cutoff
 // whenever it remains feasible under the current pins and M bound.
-// nodeWorkers is this solve's share of the branch-and-bound worker budget;
-// an explicit Options.Workers takes precedence.
-func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[Item]float64, db *relational.Database, warm []float64, nodeWorkers int) (*Result, error) {
+func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[Item]float64, db *relational.Database, warm []float64) (*Result, error) {
 	maxEsc := s.MaxEscalations
 	if maxEsc == 0 {
 		maxEsc = 3
@@ -386,12 +355,9 @@ func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[It
 	if ctx.Done() != nil {
 		opts.Cancel = ctx.Err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = nodeWorkers
-	}
-	// Attach the branch-and-bound's per-worker spans and search events to
-	// the enclosing span (the component solve, typically). Observational
-	// only: never part of the solver fingerprint.
+	// Record the branch-and-bound's search events on the enclosing span
+	// (the component solve, typically). Observational only: never part of
+	// the solver fingerprint.
 	opts.Trace = obs.FromContext(ctx)
 	mBound := s.BigM
 	if mBound <= 0 {

@@ -19,9 +19,7 @@ func TestCutoffObjectivePreservesOptimum(t *testing.T) {
 		m.MustAddConstraint("w", []Term{{a, 5}, {b, 7}, {c, 4}, {d, 3}}, LE, 14)
 		return m
 	}
-	// Workers pinned to 1: node counts are schedule-dependent under the
-	// parallel frontier, and this test asserts an exact count relation.
-	cold, err := Solve(build(), MILPOptions{Workers: 1})
+	cold, err := Solve(build(), MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func TestCutoffObjectivePreservesOptimum(t *testing.T) {
 		t.Fatalf("cold status %v", cold.Status)
 	}
 	cutoff := cold.Objective
-	warm, err := Solve(build(), MILPOptions{CutoffObjective: &cutoff, Workers: 1})
+	warm, err := Solve(build(), MILPOptions{CutoffObjective: &cutoff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -618,8 +618,8 @@ func (s *simplex) fillSolution(dst []float64) {
 }
 
 // run executes both phases, leaving the optimum in the working state. It
-// allocates nothing; branch-and-bound workers read the objective and
-// solution straight out of the state.
+// allocates nothing; branch and bound reads the objective and solution
+// straight out of the state.
 func (s *simplex) run() (Status, error) {
 	// Trivial infeasibility: reversed bounds after overrides.
 	for j := 0; j < s.n; j++ {
@@ -665,7 +665,7 @@ func SolveLP(m *Model, opt SimplexOptions) (*LPResult, error) {
 
 // solveLPWithBounds solves the relaxation with per-variable bound overrides
 // (used by the branch-and-bound rounding heuristic and one-shot callers; the
-// node loop keeps a worker-local state and calls reset/run directly).
+// node loop keeps its own state and calls reset/run directly).
 func solveLPWithBounds(m *Model, opt SimplexOptions, lb, ub []float64) (*LPResult, error) {
 	s := acquireSimplex()
 	defer releaseSimplex(s)

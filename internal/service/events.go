@@ -169,9 +169,13 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, subName st
 	}
 	if jobStream && !terminal {
 		// The terminal transition may predate the replay ring (long-dead
-		// job): the queue is the authority.
+		// job): the queue is the authority. If it landed after Subscribe,
+		// its event is already buffered on sub, so write that out first.
 		if view, ok := s.queue.Get(f.jobID); ok && view.State.Terminal() {
-			terminal = true
+			if _, err := writeBuffered(w, sub, f, jobStream); err == nil {
+				flusher.Flush()
+			}
+			return
 		}
 	}
 	if jobStream && terminal {
@@ -201,29 +205,12 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, subName st
 			}
 			// Drain whatever else is already buffered before flushing, so a
 			// solver burst costs one flush, not one per event.
-			drained := false
-			//dartvet:allow ctxloop -- bounded by the subscriber buffer: every pass either consumes a buffered event or exits via default
-			for !drained {
-				select {
-				case next, more := <-sub.C():
-					if !more {
-						drained = true
-						break
-					}
-					if f.keep(next) {
-						if writeBusEvent(w, next) != nil {
-							return
-						}
-						if jobStream && isTerminalJobEvent(next) {
-							ev = next
-						}
-					}
-				default:
-					drained = true
-				}
+			more, err := writeBuffered(w, sub, f, jobStream)
+			if err != nil {
+				return
 			}
 			flusher.Flush()
-			if jobStream && isTerminalJobEvent(ev) {
+			if more || (jobStream && isTerminalJobEvent(ev)) {
 				return // clean close: the job is done
 			}
 		}
@@ -238,6 +225,31 @@ func writeBusEvent(w http.ResponseWriter, ev obs.Event) error {
 		return err
 	}
 	return sse.WriteEvent(w, strconv.FormatUint(ev.Seq, 10), string(ev.Kind), data)
+}
+
+// writeBuffered writes every kept event already buffered on sub without
+// blocking. It reports whether a job stream saw its terminal event.
+func writeBuffered(w http.ResponseWriter, sub *obs.Subscriber, f eventFilter, jobStream bool) (terminal bool, err error) {
+	//dartvet:allow ctxloop -- bounded by the subscriber buffer: every pass either consumes a buffered event or returns via default
+	for {
+		select {
+		case ev, ok := <-sub.C():
+			if !ok {
+				return terminal, nil
+			}
+			if !f.keep(ev) {
+				continue
+			}
+			if err := writeBusEvent(w, ev); err != nil {
+				return terminal, err
+			}
+			if jobStream && isTerminalJobEvent(ev) {
+				terminal = true
+			}
+		default:
+			return terminal, nil
+		}
+	}
 }
 
 // isTerminalJobEvent reports whether ev announces a terminal job state.

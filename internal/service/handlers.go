@@ -90,7 +90,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if _, err := resolveSolver(spec.Solver, spec.SolverWorkers); err != nil {
+	if _, err := resolveSolver(spec.Solver); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -263,7 +263,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"workers": s.pool.workerCount(),
+		"workers": s.pool.poolSize(),
 		"queued":  s.queue.Depth(),
 	})
 }

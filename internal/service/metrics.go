@@ -92,12 +92,11 @@ type Metrics struct {
 	compSolved     uint64
 	compReused     uint64
 	bbNodes        uint64
-	bbWorkers      int
 	specRejections uint64
 	cacheHits      uint64
 	cacheMisses    uint64
 	queueDepth     func() int
-	workerCount    int
+	poolWorkers    int
 	storeStats     func() store.Stats
 	storeErrors    uint64
 	recRequeued    uint64
@@ -291,15 +290,13 @@ func (m *Metrics) BindBus(droppedEvents func() map[string]uint64) {
 	m.droppedEvents = droppedEvents
 }
 
-// Bind attaches the live gauges (queue depth, job worker count, and the
-// per-job branch-and-bound worker budget) the registry samples at
-// exposition time.
-func (m *Metrics) Bind(queueDepth func() int, workers, bbWorkers int) {
+// Bind attaches the live gauges (queue depth and job worker count) the
+// registry samples at exposition time.
+func (m *Metrics) Bind(queueDepth func() int, workers int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queueDepth = queueDepth
-	m.workerCount = workers
-	m.bbWorkers = bbWorkers
+	m.poolWorkers = workers
 }
 
 // BindStore attaches the job store's stats sampler; the dart_store_*
@@ -499,15 +496,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintln(w, "# TYPE dart_suggestions_open gauge")
 		fmt.Fprintf(w, "dart_suggestions_open %d\n", m.openSuggestions())
 	}
-	if m.workerCount > 0 {
+	if m.poolWorkers > 0 {
 		fmt.Fprintln(w, "# HELP dartd_workers Configured worker count.")
 		fmt.Fprintln(w, "# TYPE dartd_workers gauge")
-		fmt.Fprintf(w, "dartd_workers %d\n", m.workerCount)
-	}
-	if m.bbWorkers > 0 {
-		fmt.Fprintln(w, "# HELP dart_bb_workers Branch-and-bound worker budget per job.")
-		fmt.Fprintln(w, "# TYPE dart_bb_workers gauge")
-		fmt.Fprintf(w, "dart_bb_workers %d\n", m.bbWorkers)
+		fmt.Fprintf(w, "dartd_workers %d\n", m.poolWorkers)
 	}
 
 	fmt.Fprintln(w, "# HELP dartd_stage_seconds Pipeline stage latency, by stage.")

@@ -85,8 +85,8 @@ type Pool struct {
 	started bool
 }
 
-// workerCount resolves the configured worker count.
-func (p *Pool) workerCount() int {
+// poolSize resolves the configured worker count.
+func (p *Pool) poolSize() int {
 	if p.Workers > 0 {
 		return p.Workers
 	}
@@ -103,7 +103,7 @@ func (p *Pool) Start() {
 		p.Run = PipelineRunner(p.Metrics)
 	}
 	p.ctx, p.cancel = context.WithCancel(context.Background())
-	for i := 0; i < p.workerCount(); i++ {
+	for i := 0; i < p.poolSize(); i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -283,14 +283,12 @@ func ResolveMetadata(spec JobSpec) (*metadata.Metadata, error) {
 }
 
 // resolveSolver maps a spec's solver name to an implementation.
-// solverWorkers is the branch-and-bound worker budget handed to MILP
-// solvers (0 = GOMAXPROCS); the other solvers ignore it.
-func resolveSolver(name string, solverWorkers int) (core.Solver, error) {
+func resolveSolver(name string) (core.Solver, error) {
 	switch name {
 	case "", "milp":
-		return &core.MILPSolver{Formulation: core.FormulationReduced, SolverWorkers: solverWorkers}, nil
+		return &core.MILPSolver{Formulation: core.FormulationReduced}, nil
 	case "milp-literal":
-		return &core.MILPSolver{Formulation: core.FormulationLiteral, SolverWorkers: solverWorkers}, nil
+		return &core.MILPSolver{Formulation: core.FormulationLiteral}, nil
 	case "cardsearch":
 		return &core.CardinalitySearchSolver{}, nil
 	case "greedy-aggregate":
@@ -308,21 +306,13 @@ func resolveSolver(name string, solverWorkers int) (core.Solver, error) {
 // marked transient — centralizing the retry classification here lets later
 // PRs escalate node budgets per attempt; everything else — parse errors,
 // infeasibility, context expiry — is permanent.
-func PipelineRunner(m *Metrics) Runner { return PipelineRunnerWorkers(m, 0) }
-
-// PipelineRunnerWorkers is PipelineRunner with a default branch-and-bound
-// worker budget, applied when a job spec does not set solver_workers.
-func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
+func PipelineRunner(m *Metrics) Runner {
 	return func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
 		md, err := ResolveMetadata(spec)
 		if err != nil {
 			return nil, err
 		}
-		workers := spec.SolverWorkers
-		if workers <= 0 {
-			workers = solverWorkers
-		}
-		solver, err := resolveSolver(spec.Solver, workers)
+		solver, err := resolveSolver(spec.Solver)
 		if err != nil {
 			return nil, err
 		}

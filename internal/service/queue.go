@@ -42,10 +42,6 @@ type JobSpec struct {
 	Metadata string `json:"metadata,omitempty"`
 	// Solver selects the repair solver (default milp).
 	Solver string `json:"solver,omitempty"`
-	// SolverWorkers overrides the server's branch-and-bound worker budget
-	// for this job (MILP solvers only; 0 = server default). Worker counts
-	// never change the computed repair.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// TimeoutMS overrides the server's per-job deadline, in milliseconds.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Validate runs the job as an interactive validation session: the

@@ -216,6 +216,50 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoverSpecWithSolverWorkers: a submit record written by an older
+// dartd, whose spec still carries solver_workers, replays (recovery decodes
+// specs leniently) and the job runs to success on the production pipeline.
+func TestRecoverSpecWithSolverWorkers(t *testing.T) {
+	st := store.NewMem()
+	spec, err := json.Marshal(map[string]any{
+		"document":       runningExampleErrorHTML(),
+		"scenario":       "cashbudget",
+		"solver_workers": 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(&store.Record{
+		Type:     store.RecSubmit,
+		UnixNano: time.Now().UnixNano(),
+		JobID:    "job-000001",
+		State:    string(StateQueued),
+		Blob:     spec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.recovery.Requeued != 1 || srv.recovery.Orphans != 0 {
+		t.Fatalf("recovery = %+v, want one requeued job", srv.recovery)
+	}
+	srv.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	v := waitJob(t, srv.Queue(), "job-000001", func(v JobView) bool { return v.State.Terminal() })
+	if v.State != StateSucceeded || v.Result == nil || v.Result.Repair == nil {
+		t.Fatalf("job = %s (error %q), want succeeded with a repair", v.State, v.Error)
+	}
+	if v.Result.Repair.Card != 1 {
+		t.Errorf("repair card = %d, want 1", v.Result.Repair.Card)
+	}
+}
+
 // TestRecoveredIDsDoNotCollide: submissions after a restart must continue
 // the ID sequence, not reuse IDs of replayed jobs.
 func TestRecoveredIDsDoNotCollide(t *testing.T) {

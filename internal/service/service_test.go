@@ -165,6 +165,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsSolverWorkers: jobs no longer carry a branch-and-bound
+// worker budget, so a spec that still sets solver_workers names an unknown
+// field and is refused with a 400 instead of being silently ignored.
+func TestSubmitRejectsSolverWorkers(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"document": "x", "scenario": "cashbudget", "solver_workers": 4}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	var env map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(env["error"], `unknown field "solver_workers"`) {
+		t.Errorf("error = %q, want it to name solver_workers", env["error"])
+	}
+	if n := len(srv.Queue().CountByState()); n != 0 {
+		t.Errorf("rejected spec created jobs: %v", srv.Queue().CountByState())
+	}
+}
+
 // vetFailingMetadata parses fine but fails spec vetting: the constraint's
 // WHERE clause touches the measure attribute, so it is not steady.
 const vetFailingMetadata = `title vet reject fixture

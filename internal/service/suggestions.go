@@ -41,11 +41,7 @@ func (s *Server) runValidation(ctx context.Context, job *Job) (*ResultJSON, erro
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.SolverWorkers
-	if workers <= 0 {
-		workers = s.solverWorkers
-	}
-	solver, err := resolveSolver(spec.Solver, workers)
+	solver, err := resolveSolver(spec.Solver)
 	if err != nil {
 		return nil, err
 	}

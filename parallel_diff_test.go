@@ -1,19 +1,16 @@
 package dart_test
 
-// Differential tests for the parallel branch-and-bound kernel: repairs
-// computed with a parallel worker budget (SolverWorkers/Workers > 1) must
-// be byte-identical to the sequential solve on every built-in scenario.
-// The milp package proves kernel-level determinism on random models; these
-// tests run the full pipeline (extraction, grounding, decomposition,
-// compile, solve, verify) so the guarantee is checked end to end. CI runs
+// Differential tests for component fan-out: repairs computed with
+// components solved concurrently (MILPSolver.Workers > 1) must be
+// byte-identical to the sequential solve on every built-in scenario and
+// across validation sessions. These tests run the full pipeline
+// (extraction, grounding, decomposition, compile, solve, verify). CI runs
 // them under -race.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"dart"
 	"dart/internal/core"
 	"dart/internal/docgen"
 	"dart/internal/metadata"
@@ -59,61 +56,42 @@ func scenarioDocs(t *testing.T) []struct {
 	}
 }
 
-// runScenario flattens one pipeline run into a comparison string; errors
-// are observable behaviour and must match too.
-func runScenario(md *metadata.Metadata, src string, solverWorkers int) string {
-	p := &dart.Pipeline{
-		Metadata: md,
-		Solver:   &core.MILPSolver{SolverWorkers: solverWorkers},
-	}
-	res, err := p.Process(src)
-	if err != nil {
-		return "error: " + err.Error()
-	}
-	return fmt.Sprintf("repair:\n%s\nrepaired:\n%s", res.Repair, res.Repaired)
-}
-
 // TestParallelRepairMatchesSequentialScenarios: on every built-in scenario,
-// a 4-worker branch-and-bound solve of the full pipeline returns the exact
-// repair and repaired database of the sequential solve.
+// solving components concurrently returns the exact repair and repaired
+// database pinned in the golden file for the sequential solve.
 func TestParallelRepairMatchesSequentialScenarios(t *testing.T) {
+	golden := loadRepairsGolden(t)
 	for _, sc := range scenarioDocs(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			seq := runScenario(sc.md, sc.src, 1)
-			par := runScenario(sc.md, sc.src, 4)
-			if seq != par {
-				t.Errorf("parallel solve diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+			par := pipelineOutput(sc.md, sc.src, &core.MILPSolver{Workers: 4})
+			if want := golden[sc.name]; par != want {
+				t.Errorf("parallel solve diverged from the golden sequential repair:\n--- golden ---\n%s\n--- parallel ---\n%s", want, par)
 			}
 		})
 	}
 }
 
 // TestParallelSessionMatchesSequential runs multi-iteration oracle
-// validation sessions over the differential corpus at several worker
-// configurations (node-level, component-level, and both): every
-// configuration must be byte-identical to the sequential session,
-// including operator decision counts, which depend on every intermediate
-// repair.
+// validation sessions over the differential corpus with components solved
+// concurrently: every configuration must be byte-identical to the
+// sequential session, including operator decision counts, which depend on
+// every intermediate repair.
 func TestParallelSessionMatchesSequential(t *testing.T) {
 	for _, doc := range diffCorpus() {
 		t.Run(doc.name, func(t *testing.T) {
-			run := func(componentWorkers, solverWorkers int) string {
+			run := func(workers int) string {
 				return runDiffSession(&validate.Session{
-					DB:          doc.db,
-					Constraints: runningex.Constraints(),
-					Solver: &core.MILPSolver{
-						Workers:       componentWorkers,
-						SolverWorkers: solverWorkers,
-					},
+					DB:                 doc.db,
+					Constraints:        runningex.Constraints(),
+					Solver:             &core.MILPSolver{Workers: workers},
 					Operator:           &validate.OracleOperator{Truth: doc.truth},
 					ReviewPerIteration: 1,
 				})
 			}
-			seq := run(1, 1)
-			for _, cfg := range [][2]int{{1, 4}, {4, 1}, {2, 4}} {
-				if par := run(cfg[0], cfg[1]); par != seq {
-					t.Errorf("Workers=%d SolverWorkers=%d diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						cfg[0], cfg[1], seq, par)
+			seq := run(1)
+			for _, workers := range []int{2, 4} {
+				if par := run(workers); par != seq {
+					t.Errorf("Workers=%d diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s", workers, seq, par)
 				}
 			}
 		})
