@@ -23,45 +23,17 @@ type AggFunc struct {
 func (f *AggFunc) Arity() int { return len(f.Params) }
 
 // Tuples returns T_chi: the tuples of the function's relation satisfying the
-// WHERE clause under the given arguments.
+// WHERE clause under the given arguments, in relation order. It builds a
+// one-shot Index; callers probing many argument tuples share one Index.
 func (f *AggFunc) Tuples(db *relational.Database, args []relational.Value) ([]*relational.Tuple, error) {
-	if len(args) != len(f.Params) {
-		return nil, fmt.Errorf("aggrcons: %s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
-	}
-	r := db.Relation(f.Relation)
-	if r == nil {
-		return nil, fmt.Errorf("aggrcons: %s aggregates over unknown relation %q", f.Name, f.Relation)
-	}
-	var out []*relational.Tuple
-	for _, t := range r.Tuples() {
-		ok, err := f.Where.Eval(t, args)
-		if err != nil {
-			return nil, fmt.Errorf("aggrcons: evaluating WHERE of %s: %w", f.Name, err)
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out, nil
+	return NewIndex(db).Tuples(f, args)
 }
 
 // Eval computes SELECT sum(e) FROM R WHERE alpha(args). The sum over an
 // empty tuple set is 0, as in SQL's sum over no rows coalesced to zero —
 // the convention the paper's examples rely on.
 func (f *AggFunc) Eval(db *relational.Database, args []relational.Value) (float64, error) {
-	ts, err := f.Tuples(db, args)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, t := range ts {
-		v, err := f.Expr.Eval(t)
-		if err != nil {
-			return 0, fmt.Errorf("aggrcons: evaluating sum expression of %s: %w", f.Name, err)
-		}
-		sum += v
-	}
-	return sum, nil
+	return NewIndex(db).Eval(f, args)
 }
 
 // WhereAttrNames returns the attribute names appearing in the WHERE clause

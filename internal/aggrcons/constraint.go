@@ -3,6 +3,7 @@ package aggrcons
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dart/internal/relational"
@@ -200,24 +201,40 @@ type Ground struct {
 
 // Key returns a canonical identity for deduplication of ground constraints.
 func (g *Ground) Key() string {
-	var b strings.Builder
-	b.WriteString(g.Source.Name)
-	for _, args := range g.Args {
-		b.WriteByte('|')
-		for _, v := range args {
-			b.WriteString(v.String())
-			b.WriteByte(';')
-			b.WriteByte(byte('0' + int(v.Kind())))
+	return string(appendGroundKey(nil, g.Source.Name, g.Args))
+}
+
+// appendGroundKey appends the Key of a ground of the named constraint with
+// the given call arguments: the name, then per call '|' followed by each
+// argument's display form, ';' and its domain digit.
+func appendGroundKey(b []byte, name string, args [][]relational.Value) []byte {
+	b = append(b, name...)
+	for _, call := range args {
+		b = append(b, '|')
+		for _, v := range call {
+			switch v.Kind() {
+			case relational.DomainInt:
+				b = strconv.AppendInt(b, v.AsInt(), 10)
+			case relational.DomainReal:
+				b = strconv.AppendFloat(b, v.AsFloat(), 'g', -1, 64)
+			default:
+				b = append(b, v.AsString()...)
+			}
+			b = append(b, ';', byte('0'+int(v.Kind())))
 		}
 	}
-	return b.String()
+	return b
 }
 
 // LHS evaluates the left-hand side sum of the ground constraint on db.
 func (g *Ground) LHS(db *relational.Database) (float64, error) {
+	return g.lhs(NewIndex(db))
+}
+
+func (g *Ground) lhs(idx *Index) (float64, error) {
 	sum := 0.0
 	for i, call := range g.Source.Calls {
-		v, err := call.Func.Eval(db, g.Args[i])
+		v, err := idx.Eval(call.Func, g.Args[i])
 		if err != nil {
 			return 0, err
 		}
@@ -232,14 +249,20 @@ func (g *Ground) Holds(db *relational.Database, eps float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return g.holdsAt(lhs, eps), nil
+}
+
+// holdsAt reports whether the ground constraint holds within eps when its
+// left-hand side evaluates to lhs.
+func (g *Ground) holdsAt(lhs, eps float64) bool {
 	switch g.Source.Rel {
 	case LE:
-		return lhs <= g.Source.K+eps, nil
+		return lhs <= g.Source.K+eps
 	case GE:
-		return lhs >= g.Source.K-eps, nil
+		return lhs >= g.Source.K-eps
 	default:
 		d := lhs - g.Source.K
-		return d <= eps && d >= -eps, nil
+		return d <= eps && d >= -eps
 	}
 }
 
@@ -297,34 +320,44 @@ func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
 		}
 	}
 
-	emit := func() error {
-		g := &Ground{Source: k, Binding: Binding{}, Args: make([][]relational.Value, len(k.Calls))}
+	// Most body matches repeat an earlier ground, so emit resolves the call
+	// arguments and the key into reused buffers and allocates the Ground
+	// only on first sight of its key.
+	args := make([][]relational.Value, len(k.Calls))
+	for i, call := range k.Calls {
+		args[i] = make([]relational.Value, len(call.Args))
+	}
+	var key []byte
+	emit := func() {
+		for i, call := range k.Calls {
+			for j, a := range call.Args {
+				if a.kind == argVar {
+					args[i][j] = binding[a.name]
+				} else {
+					args[i][j] = a.val
+				}
+			}
+		}
+		key = appendGroundKey(key[:0], k.Name, args)
+		if seen[string(key)] {
+			return
+		}
+		seen[string(key)] = true
+		g := &Ground{Source: k, Binding: make(Binding, len(relevant)), Args: make([][]relational.Value, len(args))}
 		for name := range relevant {
 			g.Binding[name] = binding[name]
 		}
-		for i, call := range k.Calls {
-			args := make([]relational.Value, len(call.Args))
-			for j, a := range call.Args {
-				if name, ok := a.IsVar(); ok {
-					args[j] = binding[name]
-				} else {
-					args[j] = a.val
-				}
-			}
-			g.Args[i] = args
+		for i, a := range args {
+			g.Args[i] = append([]relational.Value(nil), a...)
 		}
-		key := g.Key()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, g)
-		}
-		return nil
+		out = append(out, g)
 	}
 
-	var match func(atomIdx int) error
-	match = func(atomIdx int) error {
+	var match func(atomIdx int)
+	match = func(atomIdx int) {
 		if atomIdx == len(k.Body) {
-			return emit()
+			emit()
+			return
 		}
 		atom := k.Body[atomIdx]
 		rel := db.Relation(atom.Relation)
@@ -354,19 +387,14 @@ func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
 				}
 			}
 			if ok {
-				if err := match(atomIdx + 1); err != nil {
-					return err
-				}
+				match(atomIdx + 1)
 			}
 			for _, name := range bound {
 				delete(binding, name)
 			}
 		}
-		return nil
 	}
-	if err := match(0); err != nil {
-		return nil, err
-	}
+	match(0)
 	return out, nil
 }
 
@@ -383,8 +411,10 @@ func (v Violation) String() string {
 }
 
 // Check evaluates every constraint on db and returns the violations
-// (D |= AC iff the result is empty). eps is the numeric tolerance.
+// (D |= AC iff the result is empty), ordered by ground key. eps is the
+// numeric tolerance. All constraints share one Index of db.
 func Check(db *relational.Database, acs []*Constraint, eps float64) ([]Violation, error) {
+	idx := NewIndex(db)
 	var out []Violation
 	for _, k := range acs {
 		grounds, err := k.GroundAll(db)
@@ -392,20 +422,27 @@ func Check(db *relational.Database, acs []*Constraint, eps float64) ([]Violation
 			return nil, err
 		}
 		for _, g := range grounds {
-			lhs, err := g.LHS(db)
+			lhs, err := g.lhs(idx)
 			if err != nil {
 				return nil, err
 			}
-			ok, err := g.Holds(db, eps)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			if !g.holdsAt(lhs, eps) {
 				out = append(out, Violation{Ground: g, LHS: lhs})
 			}
 		}
 	}
-	// Deterministic order for reporting.
-	sort.Slice(out, func(i, j int) bool { return out[i].Ground.Key() < out[j].Ground.Key() })
+	// Deterministic order for reporting, each key built once.
+	type keyedViolation struct {
+		key string
+		v   Violation
+	}
+	keyed := make([]keyedViolation, len(out))
+	for i, v := range out {
+		keyed[i] = keyedViolation{key: v.Ground.Key(), v: v}
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	for i, kv := range keyed {
+		out[i] = kv.v
+	}
 	return out, nil
 }

@@ -79,6 +79,7 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 	// registration order, tuple insertion order, scheme attribute order) so
 	// that z_1..z_N match the paper's tuple-order numbering.
 	var all []Item
+	var allV []float64
 	allIdx := map[Item]int{}
 	for _, relName := range db.RelationNames() {
 		rel := db.Relation(relName)
@@ -91,6 +92,7 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 				it := Item{Relation: relName, TupleID: t.ID(), Attr: attr}
 				allIdx[it] = len(all)
 				all = append(all, it)
+				allV = append(allV, t.Get(attr).AsFloat())
 			}
 		}
 	}
@@ -103,10 +105,15 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 		ground *aggrcons.Ground
 	}
 	var raw []rawRow
+	idx := aggrcons.NewIndex(db)
 	for _, k := range acs {
 		grounds, err := k.GroundAll(db)
 		if err != nil {
 			return nil, err
+		}
+		lfs := make([]aggrcons.LinearForm, len(k.Calls))
+		for ci, call := range k.Calls {
+			lfs[ci] = aggrcons.Linearize(call.Func.Expr)
 		}
 		for gi, g := range grounds {
 			row := rawRow{
@@ -117,8 +124,8 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 				ground: g,
 			}
 			for ci, call := range k.Calls {
-				lf := aggrcons.Linearize(call.Func.Expr)
-				tuples, err := call.Func.Tuples(db, g.Args[ci])
+				lf := lfs[ci]
+				tuples, err := idx.Tuples(call.Func, g.Args[ci])
 				if err != nil {
 					return nil, err
 				}
@@ -191,10 +198,8 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 		it := all[oldIdx]
 		sys.Items = append(sys.Items, it)
 		sys.index[it] = newIdx
-		rel := db.Relation(it.Relation)
-		t := rel.TupleByID(it.TupleID)
-		sys.V = append(sys.V, t.Get(it.Attr).AsFloat())
-		dom, _ := rel.Schema().DomainOf(it.Attr)
+		sys.V = append(sys.V, allV[oldIdx])
+		dom, _ := db.Relation(it.Relation).Schema().DomainOf(it.Attr)
 		sys.Domains = append(sys.Domains, dom)
 	}
 	for _, r := range raw {

@@ -15,11 +15,12 @@ import (
 // it alone — the connected-component decomposition, the per-item
 // occurrence counts that drive the validation interface's display order —
 // and a per-solver memo of already-solved components. Grounding a
-// constraint set touches every tuple of the database; the validation loop
-// of Section 6.3 re-solves after every batch of operator decisions, so
-// building the system once per (database, constraints) pair and re-solving
-// the prepared problem under changing pins removes an N× grounding cost
-// from the loop. Prepare is the single entry point; solvers consume the
+// constraint set costs one hash pass per aggregation function's relation
+// plus one index bucket per T_chi probe (aggrcons.Index), linear in the
+// database; the validation loop of Section 6.3 re-solves after every batch
+// of operator decisions, so building the system once per (database,
+// constraints) pair and re-solving the prepared problem under changing pins
+// removes an N× grounding cost from the loop. Prepare is the single entry point; solvers consume the
 // problem through SolveProblem.
 //
 // A Problem is safe for concurrent use: component solves running in

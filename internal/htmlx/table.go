@@ -40,7 +40,6 @@ type GridCell struct {
 // Nested tables are returned after their enclosing table and their content
 // is removed from the outer table's cells.
 func ParseTables(src string) []*Table {
-	toks := Tokenize(src)
 	var tables []*Table
 
 	type frame struct {
@@ -71,7 +70,7 @@ func ParseTables(src string) []*Table {
 		}
 	}
 
-	for _, tok := range toks {
+	scanTokens(src, func(tok Token) {
 		top := func() *frame {
 			if len(stack) == 0 {
 				return nil
@@ -125,7 +124,7 @@ func ParseTables(src string) []*Table {
 				f.text.WriteString(tok.Text)
 			}
 		}
-	}
+	})
 	// Unclosed tables at EOF are still returned.
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]

@@ -37,11 +37,18 @@ type Token struct {
 // doctypes are dropped. Script and style elements are skipped entirely.
 func Tokenize(src string) []Token {
 	var toks []Token
+	scanTokens(src, func(tok Token) { toks = append(toks, tok) })
+	return toks
+}
+
+// scanTokens hands the tokens of src to emit in document order, without
+// collecting them: ParseTables consumes a page-sized table as it goes.
+func scanTokens(src string, emit func(Token)) {
 	i, n := 0, len(src)
 	var text strings.Builder
 	flushText := func() {
 		if text.Len() > 0 {
-			toks = append(toks, Token{Kind: TokenText, Text: DecodeEntities(text.String())})
+			emit(Token{Kind: TokenText, Text: DecodeEntities(text.String())})
 			text.Reset()
 		}
 	}
@@ -86,7 +93,7 @@ func Tokenize(src string) []Token {
 		if !ok {
 			continue
 		}
-		toks = append(toks, tok)
+		emit(tok)
 		// Skip raw content of script/style.
 		if tok.Kind == TokenStartTag && !tok.SelfClosing && (tok.Name == "script" || tok.Name == "style") {
 			closer := "</" + tok.Name
@@ -98,7 +105,6 @@ func Tokenize(src string) []Token {
 		}
 	}
 	flushText()
-	return toks
 }
 
 // parseTag parses the inside of <...>.
@@ -250,8 +256,11 @@ func DecodeEntities(s string) string {
 	return b.String()
 }
 
+// textEscaper is built once: a Replacer allocates its lookup tables on
+// first use, which per call would dominate a document conversion.
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 // EscapeText escapes character data for embedding in HTML.
 func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return textEscaper.Replace(s)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Levenshtein computes the edit distance between two strings (unit-cost
@@ -27,8 +28,14 @@ func Levenshtein(a, b string) int {
 	if lb == 0 {
 		return la
 	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	// Cell texts and lexical items are short: keep both rows on the stack.
+	var buf [2 * 64]int
+	var prev, cur []int
+	if lb < 64 {
+		prev, cur = buf[:lb+1], buf[64:64+lb+1]
+	} else {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}
@@ -120,7 +127,26 @@ func Similarity(a, b string) float64 {
 
 // Normalize lower-cases and collapses internal whitespace.
 func Normalize(s string) string {
+	if isNormal(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+}
+
+// isNormal reports whether Normalize would return s unchanged: ASCII with
+// no upper-case letter, words separated by single spaces, no white space at
+// either end. Most strings the wrapper compares already are, and the check
+// saves their copy.
+func isNormal(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i+1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // Domain is a named set of lexical items (a domain description).

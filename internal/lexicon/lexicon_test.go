@@ -3,6 +3,7 @@ package lexicon
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +65,66 @@ func TestLevenshteinProperties(t *testing.T) {
 	damerauLeq := func(a, b string) bool { return DamerauLevenshtein(a, b) <= Levenshtein(a, b) }
 	if err := quick.Check(damerauLeq, cfg); err != nil {
 		t.Error("Damerau <= Levenshtein:", err)
+	}
+}
+
+// TestLevenshteinRowBuffers pins Levenshtein against the full dynamic
+// programming matrix on both sides of the 64-byte stack-buffer cut-off.
+func TestLevenshteinRowBuffers(t *testing.T) {
+	matrix := func(a, b string) int {
+		d := make([][]int, len(a)+1)
+		for i := range d {
+			d[i] = make([]int, len(b)+1)
+			d[i][0] = i
+		}
+		for j := range d[0] {
+			d[0][j] = j
+		}
+		for i := 1; i <= len(a); i++ {
+			for j := 1; j <= len(b); j++ {
+				cost := 1
+				if a[i-1] == b[j-1] {
+					cost = 0
+				}
+				d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			}
+		}
+		return d[len(a)][len(b)]
+	}
+	rng := rand.New(rand.NewSource(2))
+	word := func() string {
+		b := make([]byte, rng.Intn(140))
+		for i := range b {
+			b[i] = "abc"[rng.Intn(3)]
+		}
+		return string(b)
+	}
+	for n := 0; n < 300; n++ {
+		a, b := word(), word()
+		if got, want := Levenshtein(a, b), matrix(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	}
+}
+
+// TestNormalizeFastPath checks that strings Normalize returns unchanged are
+// exactly those the full lower-case-and-collapse form leaves unchanged.
+func TestNormalizeFastPath(t *testing.T) {
+	full := func(s string) string { return strings.Join(strings.Fields(strings.ToLower(s)), " ") }
+	cases := []string{"", " ", "a", "a b", "a  b", " a", "a ", "A", "a\tb", "a\nb", "caf\u00e9", "a\u00a0b", "a\u0085b", "Cash Sales", "cash sales"}
+	const alphabet = "aZ \t\n\r\v\f\xc3\xa9" // é split into its two UTF-8 bytes
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 2000; n++ {
+		b := make([]byte, rng.Intn(8))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(b))
+	}
+	for _, s := range cases {
+		if got, want := Normalize(s), full(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, want %q", s, got, want)
+		}
 	}
 }
 
