@@ -24,10 +24,13 @@ import (
 	"dart/internal/analysis"
 	"dart/internal/analysis/passes"
 	"dart/internal/core"
+	"dart/internal/docgen"
 	"dart/internal/experiments"
 	"dart/internal/milp"
 	"dart/internal/obs"
+	"dart/internal/ocr"
 	"dart/internal/runningex"
+	"dart/internal/scenario"
 	"dart/internal/store"
 )
 
@@ -242,6 +245,25 @@ func writeBenchJSON(path string) error {
 			for i := 0; i < b.N; i++ {
 				bus.Publish(obs.Event{Kind: obs.KindSolver, Name: "progress",
 					JobID: "job-bench", Gap: 0.5, Nodes: int64(i)})
+			}
+		}},
+		{"WrapperExtract", func(b *testing.B) {
+			// A 100-year cash budget with 5% string noise, a fresh wrapper
+			// per document as the pipeline builds one.
+			md, err := scenario.CashBudget()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(100))
+			doc := docgen.BudgetDocument(docgen.RandomBudget(rng, 2000, 100))
+			noisy, _ := ocr.Corrupt(doc, ocr.Options{StringRate: 0.05}, rng)
+			html := noisy.HTML()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := md.NewWrapper().Extract(html); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"RepairRunningExample", func(b *testing.B) {

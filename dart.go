@@ -210,12 +210,22 @@ func (p *Pipeline) AcquireContext(ctx context.Context, src string) (*Acquisition
 		return nil, fmt.Errorf("dart: format conversion: %w", err)
 	}
 	w := p.Metadata.NewWrapper()
-	_, endWrapper := p.stage(ctx, "wrapper")
+	wctx, endWrapper := p.stage(ctx, "wrapper")
 	instances, skipped, err := w.Extract(html)
-	endWrapper()
 	if err != nil {
+		endWrapper()
 		return nil, fmt.Errorf("dart: extraction: %w", err)
 	}
+	var repairs []StringRepair
+	for _, in := range instances {
+		repairs = append(repairs, in.Corrections()...)
+	}
+	if sp := obs.FromContext(wctx); sp != nil {
+		sp.SetInt("rows", len(instances))
+		sp.SetInt("skipped", len(skipped))
+		sp.SetInt("string_repairs", len(repairs))
+	}
+	endWrapper()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -230,10 +240,6 @@ func (p *Pipeline) AcquireContext(ctx context.Context, src string) (*Acquisition
 	endCheck()
 	if err != nil {
 		return nil, fmt.Errorf("dart: consistency check: %w", err)
-	}
-	var repairs []StringRepair
-	for _, in := range instances {
-		repairs = append(repairs, in.Corrections()...)
 	}
 	return &Acquisition{
 		HTML:          html,

@@ -311,3 +311,11 @@ func TestGridAlwaysRectangularProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestColSpanClamped(t *testing.T) {
+	src := `<table><tr><td colspan="1000000000">x</td><td colspan="1000">y</td></tr></table>`
+	row := ParseTables(src)[0].Rows[0]
+	if row[0].ColSpan != 1000 || row[1].ColSpan != 1000 {
+		t.Errorf("colspans = %d, %d; want both clamped to 1000", row[0].ColSpan, row[1].ColSpan)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Cell is one td/th element as written in the source, with its spans.
@@ -40,6 +42,11 @@ type GridCell struct {
 // Nested tables are returned after their enclosing table and their content
 // is removed from the outer table's cells.
 func ParseTables(src string) []*Table {
+	return buildTables(func(emit func(Token)) { scanTokens(src, emit) })
+}
+
+// buildTables assembles the tables of the token stream scan emits.
+func buildTables(scan func(emit func(Token))) []*Table {
 	var tables []*Table
 
 	type frame struct {
@@ -70,7 +77,7 @@ func ParseTables(src string) []*Table {
 		}
 	}
 
-	scanTokens(src, func(tok Token) {
+	scan(func(tok Token) {
 		top := func() *frame {
 			if len(stack) == 0 {
 				return nil
@@ -93,7 +100,7 @@ func ParseTables(src string) []*Table {
 						f.inRow = true
 					}
 					closeCell(f)
-					c := &Cell{RowSpan: intAttr(tok.Attrs, "rowspan", 1), ColSpan: intAttr(tok.Attrs, "colspan", 1), Header: tok.Name == "th"}
+					c := &Cell{RowSpan: intAttr(tok.Attrs, "rowspan", 1), ColSpan: min(intAttr(tok.Attrs, "colspan", 1), maxColSpan), Header: tok.Name == "th"}
 					f.cell = c
 					f.inCell = true
 				}
@@ -135,6 +142,11 @@ func ParseTables(src string) []*Table {
 	return tables
 }
 
+// maxColSpan clamps colspan as the HTML standard does. Grid places one
+// cell per spanned column, so an unclamped colspan="1000000000" would ask
+// it for a billion cells.
+const maxColSpan = 1000
+
 func intAttr(attrs map[string]string, name string, def int) int {
 	if v, ok := attrs[name]; ok {
 		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 1 {
@@ -145,9 +157,39 @@ func intAttr(attrs map[string]string, name string, def int) int {
 }
 
 // CollapseSpace trims and collapses consecutive whitespace to single
-// spaces, the normalization applied to all extracted cell text.
+// spaces, the normalization applied to all extracted cell text. A string
+// already in that form is returned as is, without a copy: ParseTables
+// collapses every cell, so collapsing its output again costs one scan.
 func CollapseSpace(s string) string {
+	if isCollapsed(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// isCollapsed reports whether CollapseSpace would return s unchanged: no
+// white space (as strings.Fields defines it) but single ' ' bytes between
+// words.
+func isCollapsed(s string) bool {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if unicode.IsSpace(r) {
+				return false
+			}
+			i += size
+			continue
+		}
+		switch {
+		case c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i+1] == ' '):
+			return false
+		}
+		i++
+	}
+	return true
 }
 
 // Grid expands the table into a rectangular matrix, resolving rowspan and

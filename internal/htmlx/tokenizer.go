@@ -42,53 +42,58 @@ func Tokenize(src string) []Token {
 }
 
 // scanTokens hands the tokens of src to emit in document order, without
-// collecting them: ParseTables consumes a page-sized table as it goes.
+// collecting them: ParseTables consumes a page-sized table as it goes. Text
+// between tags is always a contiguous run of src, so a text token is the
+// substring src[start:i] itself (entity-decoded only when it holds a '&')
+// rather than a copy.
 func scanTokens(src string, emit func(Token)) {
 	i, n := 0, len(src)
-	var text strings.Builder
-	flushText := func() {
-		if text.Len() > 0 {
-			emit(Token{Kind: TokenText, Text: DecodeEntities(text.String())})
-			text.Reset()
+	start := 0 // first byte of the pending text run
+	flushText := func(end int) {
+		if end > start {
+			emit(Token{Kind: TokenText, Text: DecodeEntities(src[start:end])})
 		}
 	}
 	for i < n {
-		c := src[i]
-		if c != '<' {
-			text.WriteByte(c)
-			i++
-			continue
+		lt := strings.IndexByte(src[i:], '<')
+		if lt < 0 {
+			break
 		}
+		i += lt
 		// Comment?
 		if strings.HasPrefix(src[i:], "<!--") {
-			flushText()
+			flushText(i)
 			end := strings.Index(src[i+4:], "-->")
 			if end < 0 {
+				start = n
 				break
 			}
 			i += 4 + end + 3
+			start = i
 			continue
 		}
 		// Doctype or other declaration.
 		if strings.HasPrefix(src[i:], "<!") || strings.HasPrefix(src[i:], "<?") {
-			flushText()
+			flushText(i)
 			end := strings.IndexByte(src[i:], '>')
 			if end < 0 {
+				start = n
 				break
 			}
 			i += end + 1
+			start = i
 			continue
 		}
 		// Tag.
 		end := strings.IndexByte(src[i:], '>')
 		if end < 0 {
-			// Trailing junk: treat as text.
-			text.WriteString(src[i:])
+			// Trailing junk: the pending text runs on to the end.
 			break
 		}
 		raw := src[i+1 : i+end]
+		flushText(i)
 		i += end + 1
-		flushText()
+		start = i
 		tok, ok := parseTag(raw)
 		if !ok {
 			continue
@@ -99,12 +104,14 @@ func scanTokens(src string, emit func(Token)) {
 			closer := "</" + tok.Name
 			idx := strings.Index(strings.ToLower(src[i:]), closer)
 			if idx < 0 {
+				start = n
 				break
 			}
 			i += idx
+			start = i
 		}
 	}
-	flushText()
+	flushText(n)
 }
 
 // parseTag parses the inside of <...>.

@@ -102,10 +102,15 @@ func min3(a, b, c int) int {
 // Similarity maps edit distance into [0, 1]: 1 for identical strings,
 // falling linearly with distance relative to the longer string. Comparison
 // is case-insensitive with surrounding whitespace ignored, matching how the
-// wrapper normalizes cell text.
+// wrapper normalizes cell text. Both arguments are normalized on every
+// call; Domain.BestMatch keeps its items normalized and normalizes the
+// query once, so matching a cell against a domain pays for neither again.
 func Similarity(a, b string) float64 {
-	a = Normalize(a)
-	b = Normalize(b)
+	return similarityNorm(Normalize(a), Normalize(b))
+}
+
+// similarityNorm is Similarity on strings already in Normalize form.
+func similarityNorm(a, b string) float64 {
 	if a == b {
 		return 1
 	}
@@ -149,17 +154,20 @@ func isNormal(s string) bool {
 	return true
 }
 
-// Domain is a named set of lexical items (a domain description).
+// Domain is a named set of lexical items (a domain description). Items
+// are kept verbatim for output and, next to them, in Normalize form for
+// matching; items are unique under normalization.
 type Domain struct {
 	Name  string
 	items []string
-	set   map[string]bool
+	norms []string       // norms[i] is Normalize(items[i])
+	index map[string]int // Normalize(item) -> position in items
 }
 
 // NewDomain creates a domain with the given items. Items are kept verbatim
 // for output but matched in normalized form.
 func NewDomain(name string, items ...string) *Domain {
-	d := &Domain{Name: name, set: map[string]bool{}}
+	d := &Domain{Name: name, index: map[string]int{}}
 	for _, it := range items {
 		d.Add(it)
 	}
@@ -169,9 +177,10 @@ func NewDomain(name string, items ...string) *Domain {
 // Add inserts an item (idempotent under normalization).
 func (d *Domain) Add(item string) {
 	key := Normalize(item)
-	if !d.set[key] {
-		d.set[key] = true
+	if _, ok := d.index[key]; !ok {
+		d.index[key] = len(d.items)
 		d.items = append(d.items, item)
+		d.norms = append(d.norms, key)
 	}
 }
 
@@ -180,7 +189,10 @@ func (d *Domain) Items() []string { return append([]string(nil), d.items...) }
 
 // Contains reports whether the string is an item of the domain (normalized
 // comparison).
-func (d *Domain) Contains(s string) bool { return d.set[Normalize(s)] }
+func (d *Domain) Contains(s string) bool {
+	_, ok := d.index[Normalize(s)]
+	return ok
+}
 
 // Match is the result of matching a string against a domain.
 type Match struct {
@@ -189,17 +201,25 @@ type Match struct {
 }
 
 // BestMatch returns the most similar lexical item (msi in the paper's
-// wrapper description) together with its similarity score. ok is false for
-// an empty domain.
+// wrapper description) together with its similarity score; ties go to the
+// earliest item. ok is false for an empty domain.
+//
+// A query equal to an item under normalization returns that item with
+// score 1 straight from the index: it is the item the scan would pick,
+// since items are unique under normalization and every other item scores
+// 1 - d/m < 1.
 func (d *Domain) BestMatch(s string) (Match, bool) {
 	if len(d.items) == 0 {
 		return Match{}, false
 	}
+	q := Normalize(s)
+	if i, ok := d.index[q]; ok {
+		return Match{Item: d.items[i], Score: 1}, true
+	}
 	best := Match{Score: -1}
-	for _, it := range d.items {
-		sc := Similarity(s, it)
-		if sc > best.Score {
-			best = Match{Item: it, Score: sc}
+	for i, n := range d.norms {
+		if sc := similarityNorm(q, n); sc > best.Score {
+			best = Match{Item: d.items[i], Score: sc}
 		}
 	}
 	return best, true

@@ -181,6 +181,70 @@ func TestDomainBestMatch(t *testing.T) {
 	}
 }
 
+// bestMatchScan is BestMatch without the index: Similarity against every
+// item in insertion order, the earliest of the highest scores winning.
+func bestMatchScan(d *Domain, s string) (Match, bool) {
+	items := d.Items()
+	if len(items) == 0 {
+		return Match{}, false
+	}
+	best := Match{Score: -1}
+	for _, it := range items {
+		if sc := Similarity(s, it); sc > best.Score {
+			best = Match{Item: it, Score: sc}
+		}
+	}
+	return best, true
+}
+
+// TestBestMatchExactHitMatchesScan holds BestMatch, whose exact hits come
+// from the normalized index, to a brute-force Similarity scan: on queries
+// that are items up to case and white space, on near misses, on the empty
+// query, and on domains holding the empty item and items that differ only
+// in case (which Add folds into one).
+func TestBestMatchExactHitMatchesScan(t *testing.T) {
+	domains := []*Domain{
+		NewDomain("Subsection", "beginning cash", "cash sales", "receivables", "total cash receipts",
+			"payment of accounts", "capital expenditure", "net cash inflow", "ending cash balance"),
+		NewDomain("Section", "Receipts", "Disbursements", "Balance", "RECEIPTS", " receipts "),
+		NewDomain("Spaced", "  Long  Term\tFinancing ", "long-term financing", "a", "b", "ab"),
+		NewDomain("WithEmpty", "", "x", "X ", "xy"),
+		NewDomain("Unicode", "Ébène", "ébène", "straße", "STRASSE"),
+		NewDomain("Empty"),
+	}
+	queries := []string{
+		"", " ", "\t\n", "beginning cash", "BEGINNING CASH", "  beginning\t cash ", "bgnning cesh",
+		"Receipts", "receipts", " RECEIPTS", "Reciepts", "balance", "long term financing",
+		"Long Term Financing", "long-term  financing", "a", "A", "ab", "ba", "x", "X", "xy", "yx",
+		"ébène", "ÉBÈNE", "Straße", "strasse", "zzz",
+	}
+	for _, d := range domains {
+		for _, q := range queries {
+			got, gotOK := d.BestMatch(q)
+			want, wantOK := bestMatchScan(d, q)
+			if got != want || gotOK != wantOK {
+				t.Errorf("%s.BestMatch(%q) = %+v, %v; scan gives %+v, %v", d.Name, q, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	// Random queries built from item fragments, case flips and spaces.
+	rng := rand.New(rand.NewSource(23))
+	alphabet := []string{"a", "B", "c", "ash", " ", "  ", "\t", "Cash", "sales", "e", "-"}
+	for i := 0; i < 3000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(6); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		q := b.String()
+		for _, d := range domains {
+			got, _ := d.BestMatch(q)
+			if want, _ := bestMatchScan(d, q); got != want {
+				t.Fatalf("%s.BestMatch(%q) = %+v; scan gives %+v", d.Name, q, got, want)
+			}
+		}
+	}
+}
+
 func TestHierarchy(t *testing.T) {
 	h := NewHierarchy()
 	h.AddSpecialization("beginning cash", "Receipts")

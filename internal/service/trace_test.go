@@ -20,6 +20,19 @@ func collectNames(node *obs.SpanNode, into map[string]int) {
 	}
 }
 
+// findSpan returns the first span named name in a depth-first walk.
+func findSpan(node *obs.SpanNode, name string) *obs.SpanNode {
+	if node == nil || node.Name == name {
+		return node
+	}
+	for _, c := range node.Children {
+		if found := findSpan(c, name); found != nil {
+			return found
+		}
+	}
+	return nil
+}
+
 // TestJobTraceEndpoint runs one real pipeline job with tracing on and
 // checks GET /v1/jobs/{id}/trace returns a span tree covering every
 // pipeline stage plus at least one solved MILP component.
@@ -66,6 +79,20 @@ func TestJobTraceEndpoint(t *testing.T) {
 		if names[want] == 0 {
 			t.Errorf("span tree misses %q (got %v)", want, names)
 		}
+	}
+	// The wrapper span explains itself: rows matched, rows skipped and
+	// string repairs, as integer attributes.
+	wrapperSpan := findSpan(payload.Tree, "stage.wrapper")
+	if wrapperSpan == nil {
+		t.Fatal("no stage.wrapper span")
+	}
+	for _, key := range []string{"rows", "skipped", "string_repairs"} {
+		if _, ok := wrapperSpan.Attrs[key].(float64); !ok {
+			t.Errorf("stage.wrapper attr %q = %#v, want a number", key, wrapperSpan.Attrs[key])
+		}
+	}
+	if rows, _ := wrapperSpan.Attrs["rows"].(float64); rows == 0 {
+		t.Errorf("stage.wrapper rows = %v, want the matched rows", wrapperSpan.Attrs["rows"])
 	}
 	if payload.Tree.Attrs["job_id"] != view.ID {
 		t.Errorf("root span job_id = %v, want %s", payload.Tree.Attrs["job_id"], view.ID)

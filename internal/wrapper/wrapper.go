@@ -180,6 +180,11 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 	if minScore == 0 {
 		minScore = 0.5
 	}
+	m := &matcher{
+		Wrapper:    w,
+		restricted: map[restrictKey]*lexicon.Domain{},
+		matches:    map[matchKey]CellMatch{},
+	}
 	var instances []*Instance
 	var skipped []Skipped
 	tables := htmlx.ParseTables(html)
@@ -193,7 +198,7 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 			if len(cells) == 0 {
 				continue
 			}
-			best := w.matchRow(cells)
+			best := m.matchRow(cells)
 			if best == nil || best.Score < minScore {
 				sc := 0.0
 				if best != nil {
@@ -223,15 +228,49 @@ func presentTexts(row []htmlx.GridCell) []string {
 	return out
 }
 
+// matcher matches the rows of one Extract call. A document repeats few
+// distinct domain texts over many rows (a 100-year cash budget has 1,000
+// rows and about 13 distinct Section and Subsection texts), so the matcher
+// memoizes every domain cell's match and every restricted domain. The
+// memos live for the call only, so they never need invalidating, and the
+// Wrapper, its domains and its hierarchy, which concurrent extractions may
+// share, are only read.
+type matcher struct {
+	*Wrapper
+	// restricted holds the items of a cell's domain that specialize the
+	// value bound to its parent cell.
+	restricted map[restrictKey]*lexicon.Domain
+	// matches holds the match of every domain cell text seen so far.
+	matches map[matchKey]CellMatch
+	// scores is the cell-score buffer matchPattern reuses.
+	scores []float64
+}
+
+// restrictKey names one pattern cell together with the value bound to the
+// cell it specializes ("" for a cell without a hierarchical restriction).
+type restrictKey struct {
+	pattern *RowPattern
+	cell    int
+	parent  string
+}
+
+// matchKey names one domain cell text matched under a restrictKey.
+type matchKey struct {
+	restrictKey
+	text string
+}
+
 // matchRow evaluates every pattern on the row's cell texts and returns the
-// best-scoring instance (nil when no pattern has the row's arity).
-func (w *Wrapper) matchRow(cells []string) *Instance {
+// best-scoring instance (nil when no pattern has the row's arity). The
+// candidate instances share cells, which presentTexts made for this row, as
+// their Raw texts.
+func (m *matcher) matchRow(cells []string) *Instance {
 	var best *Instance
-	for _, p := range w.Patterns {
+	for _, p := range m.Patterns {
 		if len(p.Cells) != len(cells) {
 			continue
 		}
-		in := w.matchPattern(p, cells)
+		in := m.matchPattern(p, cells)
 		if best == nil || in.Score > best.Score {
 			best = in
 		}
@@ -242,9 +281,9 @@ func (w *Wrapper) matchRow(cells []string) *Instance {
 // matchPattern binds each cell of the row to the pattern, producing the
 // instance with per-cell scores (Example 13's 90% score for "bgnning cesh"
 // against the Subsection domain arises here).
-func (w *Wrapper) matchPattern(p *RowPattern, cells []string) *Instance {
-	in := &Instance{Pattern: p, Cells: make([]CellMatch, len(cells)), Raw: append([]string(nil), cells...)}
-	scores := make([]float64, len(cells))
+func (m *matcher) matchPattern(p *RowPattern, cells []string) *Instance {
+	in := &Instance{Pattern: p, Cells: make([]CellMatch, len(cells)), Raw: cells}
+	scores := m.scores[:0]
 	for i, pc := range p.Cells {
 		text := htmlx.CollapseSpace(cells[i])
 		var cm CellMatch
@@ -258,41 +297,62 @@ func (w *Wrapper) matchPattern(p *RowPattern, cells []string) *Instance {
 				cm = CellMatch{Value: text, Score: 1}
 			}
 		case KindDomain:
-			cm = w.matchDomain(pc, in, text)
+			cm = m.matchDomain(p, i, in, text)
 		}
 		in.Cells[i] = cm
-		scores[i] = cm.Score
+		scores = append(scores, cm.Score)
 	}
-	in.Score = w.TNorm.Combine(scores)
+	in.Score = m.TNorm.Combine(scores)
+	m.scores = scores
 	return in
 }
 
 // matchDomain finds the most similar item of the cell's domain, restricted
 // to items satisfying the cell's hierarchical relationship when one is
 // specified (footnote 4 of the paper); when no item satisfies it, the full
-// domain is used with a score penalty.
-func (w *Wrapper) matchDomain(pc PatternCell, in *Instance, text string) CellMatch {
-	if pc.SpecializationOf >= 0 && w.Hierarchy != nil {
-		parent := in.Cells[pc.SpecializationOf].Value
-		restricted := lexicon.NewDomain(pc.Domain.Name)
-		for _, item := range pc.Domain.Items() {
-			if w.Hierarchy.IsSpecializationOf(item, parent) {
-				restricted.Add(item)
-			}
-		}
-		if m, ok := restricted.BestMatch(text); ok {
-			return CellMatch{Value: m.Item, Score: m.Score}
-		}
+// domain is used with a score penalty. Each distinct text is matched once
+// per parent value.
+func (m *matcher) matchDomain(p *RowPattern, i int, in *Instance, text string) CellMatch {
+	pc := p.Cells[i]
+	restrict := pc.SpecializationOf >= 0 && m.Hierarchy != nil
+	key := matchKey{restrictKey: restrictKey{pattern: p, cell: i}, text: text}
+	if restrict {
+		key.parent = in.Cells[pc.SpecializationOf].Value
+	}
+	if cm, ok := m.matches[key]; ok {
+		return cm
+	}
+	d := pc.Domain
+	if restrict {
+		d = m.restrictedDomain(pc, key.restrictKey)
+	}
+	var cm CellMatch
+	if mt, ok := d.BestMatch(text); ok {
+		cm = CellMatch{Value: mt.Item, Score: mt.Score}
+	} else if restrict {
 		// No item specializes the parent: fall back, penalized.
-		if m, ok := pc.Domain.BestMatch(text); ok {
-			return CellMatch{Value: m.Item, Score: m.Score * 0.5}
+		if mt, ok := pc.Domain.BestMatch(text); ok {
+			cm = CellMatch{Value: mt.Item, Score: mt.Score * 0.5}
 		}
-		return CellMatch{}
 	}
-	if m, ok := pc.Domain.BestMatch(text); ok {
-		return CellMatch{Value: m.Item, Score: m.Score}
+	m.matches[key] = cm
+	return cm
+}
+
+// restrictedDomain returns the items of the cell's domain that specialize
+// the value bound to its parent cell.
+func (m *matcher) restrictedDomain(pc PatternCell, key restrictKey) *lexicon.Domain {
+	if d, ok := m.restricted[key]; ok {
+		return d
 	}
-	return CellMatch{}
+	d := lexicon.NewDomain(pc.Domain.Name)
+	for _, item := range pc.Domain.Items() {
+		if m.Hierarchy.IsSpecializationOf(item, key.parent) {
+			d.Add(item)
+		}
+	}
+	m.restricted[key] = d
+	return d
 }
 
 // matchInteger scores integer literals: exact integers score 1; text whose
